@@ -26,7 +26,10 @@ from .errors import BadFlagsError, ContainerNotFoundError, NotAContainerError
 from .index import pack_records
 from .reader import ReadFile
 from .util import hostname, unique_timestamp
-from .writer import WriteFile
+from .writer import WriteFile, open_writer_registry
+
+#: every live write handle of this process, per container
+_open_writers = open_writer_registry()
 
 _ACCMODE = os.O_RDONLY | os.O_WRONLY | os.O_RDWR
 
@@ -154,7 +157,7 @@ def plfs_open(
         container.create(mode, exclusive=True, pid=pid)
 
     if flags & os.O_TRUNC and (flags & _ACCMODE) != os.O_RDONLY:
-        container.wipe_data()
+        _rewrite(container, 0, container.wipe_data)
 
     fd = Plfs_fd(container=container, flags=flags, pid=pid)
     if open_opt is not None:
@@ -164,7 +167,7 @@ def plfs_open(
         wal_batch = open_opt.wal_batch_records if open_opt is not None else 1
         fd.writer = WriteFile(container, wal=wal, wal_batch=wal_batch)
         try:
-            container.register_open(pid)
+            _open_writers.register(fd.writer, pid)
         except OSError:
             # Failed open must not leak the writer's droppings/descriptors
             # or leave the container looking half-open.
@@ -182,6 +185,11 @@ def plfs_close(fd, pid: int | None = None, flags: int | None = None) -> int:
     handle fully torn down (writer detached, open-marker unregistered), so
     a daemon holding thousands of slots can always reclaim one — retrying
     or double-closing after an error can never wedge a slot.
+
+    The openhost marker belongs to the pid the handle was opened under
+    (*pid* is accepted for C-signature parity only).  The container is
+    compacted once, by the close that leaves it with no write handle in
+    this process and no foreign marker.
     """
     if _remote(fd):
         return fd.close()
@@ -194,35 +202,31 @@ def plfs_close(fd, pid: int | None = None, flags: int | None = None) -> int:
         fd._reader.close()
         fd._reader = None
     writer, fd.writer = fd.writer, None  # claim it: a re-raised close must not re-enter
-    if writer is not None:
-        last = writer.max_logical_end
-        total = writer.total_written
-        try:
-            writer.close()
-        except Exception:
-            # The writer is broken but the handle must still be fully
-            # reclaimed: drop the open-marker so the container does not
-            # look eternally half-open, then surface the error.  (An
-            # InjectedCrash is a BaseException and passes through without
-            # cleanup — a crash kills the process, it doesn't tidy up.)
-            fd.container.unregister_open(pid if pid is not None else fd.pid)
-            raise
-        fd.container.unregister_open(pid if pid is not None else fd.pid)
-        if total:
-            fd.container.drop_meta(last, total)
-        if (
-            total
-            and fd.compact_on_close
-            and not fd.container.open_writers()
-        ):
-            # Clean last close: flatten the merged index into the
-            # persistent global.index so the next reader skips the merge.
-            # Compaction is an accelerator — a failure to write it must
-            # never fail the close (readers just take the slow path).
-            try:
-                index_cache.compact(fd.container)
-            except OSError:
-                pass
+    if writer is None:
+        return 0
+    try:
+        writer.close()
+        if writer.total_written:
+            # Recorded while the marker still stands, so a stat that sees
+            # the marker gone also sees this handle's size.
+            fd.container.drop_meta(writer.max_logical_end, writer.total_written)
+    except Exception:
+        # The writer is broken but the handle must still be fully
+        # reclaimed: release the registry entry (and with it the marker)
+        # so the container does not look eternally half-open, then
+        # surface the error.  (An InjectedCrash is a BaseException and
+        # passes through without cleanup — a crash kills the process, it
+        # doesn't tidy up; the closed writer no longer counts as live.)
+        _open_writers.release(writer)
+        raise
+    if (
+        _open_writers.release(writer)
+        and fd.compact_on_close
+        and not fd.container.open_writers()
+    ):
+        # Clean last close: flatten the merged index into the persistent
+        # global.index so the next reader skips the merge.
+        index_cache.compact_quietly(fd.container)
     return 0
 
 
@@ -342,14 +346,21 @@ def plfs_getattr(fd_or_path, *, size_only: bool = False) -> os.stat_result:
             # on-disk size comes from the epoch-validated shared cache, so
             # another handle's flush is always seen (the cache rebuilds on
             # epoch change) while repeated stats of a quiet container cost
-            # one cache hit instead of an index merge; this handle's own
-            # unflushed records never exceed its high-water mark, which the
-            # max() below folds in.
+            # one cache hit instead of an index merge; the unflushed records
+            # of this handle (registered or, after a fork, inherited) and
+            # of its siblings in the registry never exceed their high-water
+            # marks, which the max() below folds in (an O_APPEND write
+            # through one fd must land after bytes another fd has written
+            # but not yet flushed).
             disk = container.cached_size()
             if disk is None:
                 loaded, _ = index_cache.shared_cache().get(container)
                 disk = loaded.index.logical_size
-            size = max(disk, fd_or_path.writer.max_logical_end)
+            size = max(
+                disk,
+                fd_or_path.writer.max_logical_end,
+                _open_writers.high_water(container.path),
+            )
             return container.getattr(size=size)
         return container.getattr()
     container = Container(fd_or_path)
@@ -401,13 +412,7 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
         raise ContainerNotFoundError(f"no such file: {path}")
 
     if offset == 0:
-        if fd is not None and fd.writer is not None:
-            wal, wal_batch = fd.writer.wal, fd.writer.wal_batch
-            fd.writer.close()
-            container.wipe_data()
-            fd.writer = WriteFile(container, wal=wal, wal_batch=wal_batch)
-        else:
-            container.wipe_data()
+        _rewrite(container, 0, container.wipe_data)
         index_cache.invalidate(container.path)
         if fd is not None:
             fd.invalidate_reader()
@@ -427,18 +432,27 @@ def plfs_trunc(fd_or_path: Plfs_fd | str, offset: int = 0) -> None:
                 plfs_close(tmp)
         return
 
-    # Shrink: compact the flattened index clipped at *offset*.  An open
-    # writer must be recycled: its droppings are replaced by the compaction
-    # and its high-water mark would otherwise report the pre-shrink size.
-    if fd is not None and fd.writer is not None:
-        wal, wal_batch = fd.writer.wal, fd.writer.wal_batch
-        fd.writer.close()
-        plfs_flatten_index(path, clip=offset)
-        fd.writer = WriteFile(container, wal=wal, wal_batch=wal_batch)
-    else:
-        plfs_flatten_index(path, clip=offset)
+    # Shrink: compact the flattened index clipped at *offset*.
+    _rewrite(container, offset, lambda: plfs_flatten_index(path, clip=offset))
     if fd is not None:
         fd.invalidate_reader()
+
+
+def _rewrite(container: Container, size: int, rewrite) -> None:
+    """Run a truncating *rewrite* of the container's droppings under every
+    live write handle of this process: each is sealed first (its buffered
+    records land and join the rewrite) and afterwards writes to fresh
+    droppings with its high-water mark capped at *size*, so neither a
+    sibling's ``fstat`` nor its close-time meta dropping reports the
+    pre-truncate size."""
+    writers = _open_writers.writers(container.path)
+    for writer in writers:
+        writer.seal()
+    try:
+        rewrite()
+    finally:
+        for writer in writers:
+            writer.truncated(size)
 
 
 def plfs_rename(path: str, new_path: str) -> None:
@@ -517,10 +531,7 @@ def plfs_flatten_index(path: str, *, clip: int | None = None) -> int:
     if physical:
         container.drop_meta(last, physical)
     index_cache.invalidate(container.path)
-    try:
-        index_cache.compact(container)
-    except OSError:
-        pass
+    index_cache.compact_quietly(container)
     return physical
 
 

@@ -65,9 +65,10 @@ def load_index(container: Container, *, epoch: str | None = None) -> LoadedIndex
     """Build the container's global index, preferring the compacted file.
 
     The compacted ``global.index`` is used only when it parses *and* its
-    recorded epoch matches the container's current one; any staleness or
-    corruption falls back to merging the per-writer index droppings — the
-    compacted file is an accelerator, never a source of truth.
+    recorded epoch matches the container's current one (which pins the
+    dropping list its ids index into); any staleness or corruption falls
+    back to merging the per-writer index droppings — the compacted file
+    is an accelerator, never a source of truth.
     """
     droppings = container.droppings()
     if epoch is None:
@@ -80,17 +81,13 @@ def load_index(container: Container, *, epoch: str | None = None) -> LoadedIndex
         raw = None
     if raw is not None:
         try:
-            records, rel_paths, file_epoch, _size = parse_compacted(
-                raw, source=gpath
-            )
+            records, count, file_epoch, _size = parse_compacted(raw, source=gpath)
         except CorruptIndexError:
             pass
         else:
-            if file_epoch == epoch:
+            if file_epoch == epoch and count == len(droppings):
                 index = index_from_compacted(records)
-                data_paths = [
-                    os.path.join(container.path, rel) for rel in rel_paths
-                ]
+                data_paths = [data for _, data in droppings]
                 return LoadedIndex(index, data_paths, epoch, "compacted")
     index, data_paths = load_global_index(droppings)
     return LoadedIndex(index, data_paths, epoch, "merged")
@@ -105,13 +102,23 @@ def compact(container: Container) -> int:
     never leaves a reader-visible half-written file.
     """
     loaded = load_index(container)
-    rel = [os.path.relpath(p, container.path) for p in loaded.data_paths]
     segments = loaded.index.segments()
     payload = pack_compacted(
-        segments, rel, loaded.epoch, loaded.index.logical_size
+        segments, len(loaded.data_paths), loaded.epoch, loaded.index.logical_size
     )
     backing.current().write_global_index(container.global_index_path(), payload)
+    _shared.count("compactions")
     return len(segments)
+
+
+def compact_quietly(container: Container) -> None:
+    """Compact where the caller must not fail on it (a close, a rewrite):
+    compaction is an accelerator, so a failure only leaves readers on the
+    merge path — and is counted as ``compaction_failures``, not dropped."""
+    try:
+        compact(container)
+    except OSError:
+        _shared.count("compaction_failures")
 
 
 # ---------------------------------------------------------------------- #
@@ -151,6 +158,10 @@ class IndexCache:
             "invalidations": 0,
             "compacted_loads": 0,
             "merged_builds": 0,
+            #: global.index files written, and failed writes swallowed by
+            #: compact_quietly
+            "compactions": 0,
+            "compaction_failures": 0,
         }
 
     # -------------------------------------------------------------- #
@@ -173,6 +184,10 @@ class IndexCache:
         with self._lock:
             self._entries.clear()
             self._generations.clear()
+
+    def count(self, key: str) -> None:
+        with self._lock:
+            self.stats[key] += 1
 
     def reset_stats(self) -> None:
         for key in self.stats:

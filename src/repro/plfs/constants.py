@@ -49,6 +49,13 @@ NUM_HOSTDIRS = 32
 #: Version tag written into the creator file; bump on incompatible change.
 FORMAT_VERSION = 1
 
+#: Field widths of the creator file's ``host=`` and ``pid=`` values, which
+#: are space-padded so the file's size does not depend on the creating
+#: host or pid (64 is Linux's HOST_NAME_MAX; 10 digits hold any 32-bit
+#: pid).  Longer values are written whole.
+CREATOR_HOST_WIDTH = 64
+CREATOR_PID_WIDTH = 10
+
 #: Sentinel dropping id used in a read plan for a hole (unwritten region).
 HOLE = -1
 
@@ -64,7 +71,9 @@ GLOBAL_INDEX_FILE = "global.index"
 GLOBAL_INDEX_MAGIC = "plfs-global-index"
 
 #: Version of the compacted-global-index format; bump on incompatible change.
-GLOBAL_INDEX_VERSION = 1
+#: Version 2 replaced the header's data-path table with a dropping count
+#: (files of another version read as corrupt: readers re-merge).
+GLOBAL_INDEX_VERSION = 2
 
 #: Default cap on a read handle's data-dropping descriptor cache.  One fd
 #: per dropping with no bound exhausts ``RLIMIT_NOFILE`` on wide containers

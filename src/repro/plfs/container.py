@@ -88,7 +88,8 @@ class Container:
         with open(os.path.join(tmp, constants.CREATOR_FILE), "w") as fh:
             fh.write(
                 f"version={constants.FORMAT_VERSION}\n"
-                f"host={util.hostname()}\npid={pid}\n"
+                f"host={util.hostname():<{constants.CREATOR_HOST_WIDTH}}\n"
+                f"pid={pid:<{constants.CREATOR_PID_WIDTH}}\n"
                 f"ctime={util.unique_timestamp():.9f}\n"
             )
         # The access file stores the logical file's mode bits; writing it

@@ -385,17 +385,21 @@ def load_global_index(
 
 def pack_compacted(
     segments: list[tuple[int, int, int, int]],
-    data_paths: list[str],
+    droppings: int,
     epoch: str,
     logical_size: int,
 ) -> bytes:
     """Serialise a flattened global index to the ``global.index`` format.
 
     Layout: one JSON header line (magic, version, container epoch, record
-    count, data-dropping paths relative to the container root, logical
-    size), then ``records`` packed :data:`INDEX_DTYPE` entries holding the
-    non-overlapping segments sorted by logical offset.  ``pid`` and
-    ``timestamp`` are zeroed: a compacted index has no recency to resolve.
+    count, dropping count, logical size), then ``records`` packed
+    :data:`INDEX_DTYPE` entries holding the non-overlapping segments
+    sorted by logical offset.  ``pid`` and ``timestamp`` are zeroed: a
+    compacted index has no recency to resolve.  A record's ``dropping``
+    is a position in the container's ordered dropping list
+    (:meth:`~repro.plfs.container.Container.droppings`): the epoch fixes
+    that list, so the file names no path, host or pid and stays valid
+    when the container is renamed.
     """
     recs = np.zeros(len(segments), dtype=INDEX_DTYPE)
     for i, (start, end, dropping, phys) in enumerate(segments):
@@ -409,7 +413,7 @@ def pack_compacted(
             "version": constants.GLOBAL_INDEX_VERSION,
             "epoch": epoch,
             "records": len(segments),
-            "data_paths": list(data_paths),
+            "droppings": droppings,
             "logical_size": logical_size,
         },
         sort_keys=True,
@@ -419,10 +423,10 @@ def pack_compacted(
 
 def parse_compacted(
     data: bytes, *, source: str = "<memory>"
-) -> tuple[np.ndarray, list[str], str, int]:
+) -> tuple[np.ndarray, int, str, int]:
     """Parse a compacted global index; the inverse of :func:`pack_compacted`.
 
-    Returns ``(records, data_paths, epoch, logical_size)``.  Raises
+    Returns ``(records, droppings, epoch, logical_size)``.  Raises
     :class:`CorruptIndexError` on any malformation — callers treat that as
     "no compacted index" and fall back to merging droppings.
     """
@@ -444,13 +448,12 @@ def parse_compacted(
             f"compacted index {source}: bad magic or unsupported version"
         )
     count = header.get("records")
-    paths = header.get("data_paths")
+    droppings = header.get("droppings")
     epoch = header.get("epoch")
     size = header.get("logical_size", 0)
     if (
         not isinstance(count, int)
-        or not isinstance(paths, list)
-        or not all(isinstance(p, str) for p in paths)
+        or not isinstance(droppings, int)
         or not isinstance(epoch, str)
         or not isinstance(size, int)
     ):
@@ -461,12 +464,12 @@ def parse_compacted(
             f"expected {count} records of {RECORD_SIZE} bytes"
         )
     records = parse_records(body, source=source)
-    if records.size and int(records["dropping"].max()) >= len(paths):
+    if records.size and int(records["dropping"].max()) >= droppings:
         raise CorruptIndexError(
             f"compacted index {source}: record references a dropping id "
-            "past the data-path table"
+            "past the dropping count"
         )
-    return records, paths, epoch, size
+    return records, droppings, epoch, size
 
 
 def index_from_compacted(records: np.ndarray) -> GlobalIndex:

@@ -31,11 +31,17 @@ The write fast lane (mirroring the read-path work in
 - **cross-process invalidation** — every flush/sync/close bumps the
   container's generation file as well as the in-process shared index
   cache, so readers in *other* processes revalidate too.
+
+:class:`OpenWriterRegistry` tracks every live write handle of this process
+per container: the openhost marker is refcounted across a process's
+handles, and the api compacts once per container, on the last close.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+import weakref
 
 import numpy as np
 
@@ -413,6 +419,8 @@ class WriteFile:
         #: one WAL syscall per window)
         self.wal_batch = max(1, int(wal_batch))
         self._last_dropping: _Dropping | None = None
+        #: droppings sealed by a truncate; kept for the stats only
+        self._retired: list[_Dropping] = []
         self._appends = 0
         self._vectored_appends = 0
         self._vectored_buffers = 0
@@ -533,7 +541,7 @@ class WriteFile:
             "wal_batches": 0,
             "adaptive_threshold": INDEX_FLUSH_THRESHOLD,
         }
-        for d in self._droppings.values():
+        for d in [*self._retired, *self._droppings.values()]:
             out["records_merged"] += d.records_merged
             out["records_flushed"] += d.records_flushed
             out["index_flushes"] += d.index_flushes
@@ -565,8 +573,33 @@ class WriteFile:
         if self._closed:
             return
         self._closed = True
-        first: OSError | None = None
+        self._seal_all(list(self._droppings.values()))
+
+    def seal(self) -> None:
+        """Flush and close every open dropping but keep the handle open.
+
+        ``plfs_trunc`` rewrites the container's droppings underneath every
+        live handle: the records this handle buffered must reach disk
+        before the rewrite reads them, and later writes must land in fresh
+        droppings (opened lazily, as after construction) instead of files
+        the rewrite deleted.  Call :meth:`truncated` once the rewrite is
+        done.
+        """
         droppings = list(self._droppings.values())
+        self._retired.extend(droppings)
+        self._droppings = {}
+        self._last_dropping = None
+        self._seal_all(droppings)
+
+    def truncated(self, size: int) -> None:
+        """Resume after the file was truncated to *size*: cap the
+        high-water mark and recreate the hostdir the rewrite may have
+        removed."""
+        self._max_logical_end = min(self._max_logical_end, size)
+        self.container.ensure_hostdir(self.host)
+
+    def _seal_all(self, droppings: list[_Dropping]) -> None:
+        first: OSError | None = None
         for i, d in enumerate(droppings):
             try:
                 d.close()
@@ -613,3 +646,117 @@ class WriteFile:
             self.abandon()
         except BaseException:
             pass
+
+
+class OpenWriterRegistry:
+    """The live write handles of this process, per container.
+
+    A process's handles on one container share a single ``{host}.{pid}``
+    openhost marker, so the marker is refcounted here: it is written when
+    the first handle for a pid arrives and unlinked when the last one
+    leaves.  The registry also answers what the on-disk marker cannot —
+    the high-water mark of every sibling handle's unflushed writes, and
+    whether a close is the container's last one in this process (the
+    moment the api compacts the merged index).
+
+    Handles are held weakly: one the application dropped without closing
+    is garbage collected (``WriteFile.__del__`` abandons it) and leaves
+    the registry with it, its marker staying on disk exactly as a crashed
+    process's would.  A closed or abandoned writer no longer counts as
+    live.
+    """
+
+    #: plfs-san registration (see repro.sanitize): field -> guarding lock
+    _SANITIZE_SHARED = {"_entries": "_lock", "_dirty": "_lock"}
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: container path -> [(writer ref, pid registered under)]; the
+        #: path drops out when its last entry is released
+        self._entries: dict[str, list[tuple[weakref.ref, int]]] = {}
+        #: container paths where a released handle wrote bytes since the
+        #: path last emptied (a close with nothing new to compact skips it)
+        self._dirty: set[str] = set()
+
+    @staticmethod
+    def _live(entries) -> list[tuple[WriteFile, int]]:
+        out = []
+        for ref, pid in entries:
+            writer = ref()
+            if writer is not None and not writer.closed:
+                out.append((writer, pid))
+        return out
+
+    def register(self, writer: WriteFile, pid: int) -> None:
+        """Add *writer* under *pid*, writing the openhost marker when it
+        is the pid's first live handle on the container.  A marker write
+        that fails leaves the registry unchanged."""
+        container = writer.container
+        with self._lock:
+            entries = [
+                e for e in self._entries.get(container.path, ()) if e[0]() is not None
+            ]
+            if all(p != pid for _, p in self._live(entries)):
+                container.register_open(pid)
+            entries.append((weakref.ref(writer), pid))
+            self._entries[container.path] = entries
+
+    def release(self, writer: WriteFile) -> bool:
+        """Remove *writer*, unlinking the openhost marker when it was its
+        pid's last live handle.  Returns True when this leaves the
+        container with no live handle in this process and some released
+        handle wrote since it last had none: the close that should
+        compact."""
+        container = writer.container
+        path = container.path
+        with self._lock:
+            entries, pid = [], None
+            for ref, p in self._entries.get(path, ()):
+                other = ref()
+                if other is writer:
+                    pid = p
+                elif other is not None:
+                    entries.append((ref, p))
+            if pid is None:
+                return False  # never registered, or already released
+            if writer.total_written:
+                self._dirty.add(path)
+            if entries:
+                self._entries[path] = entries
+            else:
+                self._entries.pop(path, None)
+            live = self._live(entries)
+            if all(p != pid for _, p in live):
+                container.unregister_open(pid)
+            if live or path not in self._dirty:
+                return False
+            self._dirty.discard(path)
+            return True
+
+    def _reset_in_child(self) -> None:
+        """A forked child starts with no live handles of its own: the
+        parent's writers (and whatever lock state a parent thread held)
+        are not the child's, and their markers belong to the parent."""
+        self._lock = threading.Lock()
+        with self._lock:
+            self._entries = {}
+            self._dirty = set()
+
+    def writers(self, path: str) -> list[WriteFile]:
+        """The live write handles on the container at *path*."""
+        with self._lock:
+            return [w for w, _ in self._live(self._entries.get(path, ()))]
+
+    def high_water(self, path: str) -> int:
+        """Highest logical byte any live handle on *path* has written,
+        flushed or not."""
+        return max((w.max_logical_end for w in self.writers(path)), default=0)
+
+
+_open_writers = OpenWriterRegistry()
+os.register_at_fork(after_in_child=_open_writers._reset_in_child)
+
+
+def open_writer_registry() -> OpenWriterRegistry:
+    """The process-wide registry instance."""
+    return _open_writers

@@ -102,7 +102,7 @@ DEFAULT_CONTRACTS: list[OrderingContract] = [
     OrderingContract(
         "repro.plfs.writer",
         "WriteFile",
-        "close",
+        "_seal_all",
         ("close",),
         ("_invalidate",),
         "droppings are sealed before the generation bump publishes them",

@@ -67,11 +67,14 @@ def lock_from_guard(guard: GuardSpec) -> LockSpec:
     return LockSpec(guard.module, "", guard.guard)
 
 
-#: PR 2's core guards plus the shared index cache and the backing global
+#: the core guards plus the shared index cache, the open-writer registry
+#: and the backing global
 EXTENDED_GUARDS: list[GuardSpec] = [
     *DEFAULT_GUARDS,
     GuardSpec("repro.plfs.cache", "IndexCache", "_entries", "self._lock"),
     GuardSpec("repro.plfs.cache", "IndexCache", "_generations", "self._lock"),
+    GuardSpec("repro.plfs.writer", "OpenWriterRegistry", "_entries", "self._lock"),
+    GuardSpec("repro.plfs.writer", "OpenWriterRegistry", "_dirty", "self._lock"),
     GuardSpec("repro.plfs.backing", "", "_current", "_lock"),
 ]
 
@@ -108,7 +111,7 @@ def runtime_classes() -> list[type]:
     from repro.core.fdtable import FdTable
     from repro.core.mounts import MountTable
     from repro.plfs.cache import IndexCache
-    from repro.plfs.writer import WriteFile
+    from repro.plfs.writer import OpenWriterRegistry, WriteFile
     from repro.plfsd.server import PlfsdServer
 
-    return [FdTable, MountTable, IndexCache, WriteFile, PlfsdServer]
+    return [FdTable, MountTable, IndexCache, WriteFile, OpenWriterRegistry, PlfsdServer]

@@ -138,12 +138,17 @@ def current_lockset() -> frozenset[str]:
 
 
 def _capture_stack() -> list[str]:
+    # A bare frame walk, innermost first: looking up source lines would
+    # stat files through the interposed ``os`` while the checker's lock is
+    # held, deadlocking against a thread that holds a tracked lock (the
+    # mount table's) and waits for the checker.
     frames: list[str] = []
-    for fr in traceback.extract_stack(limit=24):
-        if fr.filename.endswith(os.path.join("sanitize", "runtime.py")):
+    for frame, lineno in itertools.islice(traceback.walk_stack(None), 24):
+        filename = frame.f_code.co_filename
+        if filename.endswith(os.path.join("sanitize", "runtime.py")):
             continue
-        frames.append(f"{os.path.basename(fr.filename)}:{fr.lineno}:{fr.name}")
-    return frames[-8:]
+        frames.append(f"{os.path.basename(filename)}:{lineno}:{frame.f_code.co_name}")
+    return frames[:8][::-1]
 
 
 # ---------------------------------------------------------------------- #

@@ -68,14 +68,15 @@ class TestCompactedIndex:
         gpath = Container(container_path).global_index_path()
         assert os.path.exists(gpath)
         with open(gpath, "rb") as fh:
-            records, paths, epoch, size = parse_compacted(
+            records, droppings, epoch, size = parse_compacted(
                 fh.read(), source=gpath
             )
         assert size == 11
         assert records.shape[0] == 1
         assert epoch == Container(container_path).index_epoch()
-        # data paths are container-relative: the container can be renamed
-        assert all(not os.path.isabs(p) for p in paths)
+        # the header names no path, only the dropping count the epoch
+        # pins: the container can be renamed
+        assert droppings == len(Container(container_path).droppings())
 
     def test_compacted_load_is_byte_identical(self, container):
         expect = write_stripes(container, droppings=6, rounds=3)
